@@ -15,7 +15,6 @@ benchmarks use.
 from __future__ import annotations
 
 import time
-from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, replace as dataclass_replace
 from typing import TYPE_CHECKING
 
@@ -38,6 +37,7 @@ from repro.display.scheduler import DisplayTimeline
 from repro.obs import RunTelemetry, Telemetry
 from repro.obs.live import live_collector
 from repro.obs.metrics import WORK
+from repro.obs.trace import span_totals
 from repro.runtime.link_exec import CaptureSource, execute_link_captures
 from repro.runtime.profiler import RuntimeReport
 from repro.video.source import VideoSource
@@ -203,7 +203,7 @@ def run_link(
         via :mod:`repro.runtime` (same results, bit for bit).  The
         engine falls back to in-process execution when a pool cannot be
         built or keeps crashing.  Either way ``LinkRun.runtime`` carries
-        the per-stage profile.
+        the per-stage profile, summed from the run's stage spans.
     faults:
         A :class:`~repro.faults.FaultPlan` to inject deterministically
         into this run (compiled here against the run's capture count and
@@ -216,9 +216,11 @@ def run_link(
     collect_telemetry:
         Collect :mod:`repro.obs` metrics and spans for this run into
         ``LinkRun.telemetry``.  Work-scoped telemetry is bit-identical
-        across worker counts; pass False to measure the raw pipeline
-        (the toggle ``benchmarks/bench_runtime.py`` uses to price the
-        instrumentation).
+        across worker counts; pass False to skip the per-capture and
+        per-frame metrics and get ``telemetry=None`` (the toggle
+        ``benchmarks/bench_runtime.py`` uses to price the
+        instrumentation).  Stage spans are recorded either way: they
+        are what ``LinkRun.runtime.stages`` is summed from.
     """
     wall0 = time.perf_counter()
     sender = InFrameSender(config, video, schedule=schedule, panel=panel)
@@ -272,8 +274,8 @@ def run_link(
         )
     heal_on = heal if heal is not None else compiled is not None
     healing: HealingReport | None = None
-    timers = execution.timers
-    with timers.stage("decide"), _maybe_span(telemetry, "decide"):
+    tracer = execution.tracer
+    with tracer.span("decide"):
         if heal_on:
             decoded_all, healing = receiver.decoder.decide_observations_healed(
                 observations
@@ -292,7 +294,7 @@ def run_link(
         raise ValueError(
             "no fully covered data frames; lengthen the video or reduce warmup"
         )
-    with timers.stage("score"), _maybe_span(telemetry, "score"):
+    with tracer.span("score"):
         truths = [sender.stream.ground_truth(d.index) for d in decoded]
         stats = summarize_link(truths, decoded, config)
     run_telemetry: RunTelemetry | None = None
@@ -323,7 +325,8 @@ def run_link(
         bits=stats.n_data_frames * config.bits_per_frame,
         elapsed_s=time.perf_counter() - wall0,
         retries=execution.retries,
-        stages=timers.as_dict(),
+        # Every span of the run except the engine's own exec.* pool spans.
+        stages=span_totals(r for r in tracer.records if not r.name.startswith("exec.")),
         crashed_chunks=execution.crashed_chunks,
         serial_fallback=execution.serial_fallback,
     )
@@ -343,13 +346,6 @@ def run_link(
         degradation=degradation,
         telemetry=run_telemetry,
     )
-
-
-def _maybe_span(telemetry: Telemetry | None, name: str) -> AbstractContextManager[None]:
-    """A work span on the parent track, or a no-op when telemetry is off."""
-    if telemetry is None:
-        return nullcontext()
-    return telemetry.tracer.span(name)
 
 
 # ----------------------------------------------------------------------
@@ -528,27 +524,24 @@ def run_transport_link(
         "truncated": 0,
         "blackout_rounds": 0,
     }
-    telemetry = Telemetry(track="transport") if collect_telemetry else None
+    # Always built: the sampling profiler buckets transport time under
+    # its transport.round spans whether or not telemetry is collected.
+    telemetry = Telemetry(track="transport")
     live = live_collector()
-    if telemetry is not None and live is not None:
+    if collect_telemetry and live is not None:
         live.attach(telemetry.metrics, prefix="transport.")
 
     def forward(packets: list[bytes]) -> list[bytes]:
         """One PHY pass: multiplex the batch, film it, decode packets."""
         counters["rounds"] += 1
         counters["sent"] += len(packets)
-        round_plan = (
-            faults.for_round(counters["rounds"]) if faults is not None else None
-        )
-        schedule = PacketSchedule(config, codec, packets)
-        span: AbstractContextManager[None] = (
-            telemetry.tracer.span(
-                "transport.round", round=counters["rounds"], packets=len(packets)
+        with telemetry.tracer.span(
+            "transport.round", round=counters["rounds"], packets=len(packets)
+        ):
+            round_plan = (
+                faults.for_round(counters["rounds"]) if faults is not None else None
             )
-            if telemetry is not None
-            else nullcontext()
-        )
-        with span:
+            schedule = PacketSchedule(config, codec, packets)
             run = run_link(
                 config,
                 video,
@@ -561,29 +554,28 @@ def run_transport_link(
                 heal=heal,
                 collect_telemetry=collect_telemetry,
             )
-        if telemetry is not None:
             telemetry.merge_run(run.telemetry)
-        link_stats.append(run.stats)
-        link_degradations.append(run.degradation)
-        if run.runtime is not None:
-            runtime_reports.append(run.runtime)
-        accumulator = PacketSlotAccumulator(codec, schedule.n_packets)
-        for frame in run.decoded:
-            if loss is not None:
-                frame = loss.degrade(frame, loss_rng)
-            accumulator.add_frame(frame)
-        raws = accumulator.decode_packets()
-        if packet_faults is not None and packet_faults.active:
-            raws, n_corrupt, n_trunc = packet_faults.apply(raws, counters["rounds"])
-            counters["corrupted"] += n_corrupt
-            counters["truncated"] += n_trunc
-        if (faults is not None or heal) and not raws:
-            # A forward pass that recovered nothing: an occlusion span
-            # (or equivalent) blacked the round out; the carousel and
-            # ARQ loops simply resume on the next pass.
-            counters["blackout_rounds"] += 1
-        counters["recovered"] += len(raws)
-        return raws
+            link_stats.append(run.stats)
+            link_degradations.append(run.degradation)
+            if run.runtime is not None:
+                runtime_reports.append(run.runtime)
+            accumulator = PacketSlotAccumulator(codec, schedule.n_packets)
+            for frame in run.decoded:
+                if loss is not None:
+                    frame = loss.degrade(frame, loss_rng)
+                accumulator.add_frame(frame)
+            raws = accumulator.decode_packets()
+            if packet_faults is not None and packet_faults.active:
+                raws, n_corrupt, n_trunc = packet_faults.apply(raws, counters["rounds"])
+                counters["corrupted"] += n_corrupt
+                counters["truncated"] += n_trunc
+            if (faults is not None or heal) and not raws:
+                # A forward pass that recovered nothing: an occlusion span
+                # (or equivalent) blacked the round out; the carousel and
+                # ARQ loops simply resume on the next pass.
+                counters["blackout_rounds"] += 1
+            counters["recovered"] += len(raws)
+            return raws
 
     delivered_payload: bytes | None = None
     arq_stats = None
@@ -617,7 +609,7 @@ def run_transport_link(
         delivered_bytes = arq_stats.delivered_bytes
         deadline_hit = arq_stats.deadline_hit
         budget_exhausted = arq_stats.budget_exhausted
-        if telemetry is not None:
+        if collect_telemetry:
             from repro.transport.arq import record_arq_telemetry
 
             record_arq_telemetry(arq_stats, telemetry)
@@ -630,7 +622,7 @@ def run_transport_link(
                 carousel.k if receiver.decoder is None else receiver.decoder.n_missing
             )
             batch = max(2, int(np.ceil(missing * (1.0 + fountain_margin))))
-            if telemetry is not None:
+            if collect_telemetry:
                 telemetry.metrics.histogram(
                     "fountain.degree", _FOUNTAIN_DEGREE_EDGES
                 ).observe_array(carousel.symbol_degrees(next_seq, batch))
@@ -639,7 +631,7 @@ def run_transport_link(
             next_seq += batch
             if receiver.complete:
                 break
-        if telemetry is not None:
+        if collect_telemetry:
             telemetry.metrics.counter("transport.rejected_packets").inc(
                 receiver.n_rejected
             )
@@ -703,7 +695,7 @@ def run_transport_link(
                 ),
             )
     run_telemetry: RunTelemetry | None = None
-    if telemetry is not None:
+    if collect_telemetry:
         metrics = telemetry.metrics
         metrics.counter("transport.rounds").inc(counters["rounds"])
         metrics.counter("transport.packets_sent").inc(counters["sent"])

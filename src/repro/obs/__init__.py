@@ -10,8 +10,10 @@ them all:
   adds, max-combines), so serial and ``workers=N`` runs produce
   bit-identical work-scoped telemetry;
 * :mod:`~repro.obs.trace` -- a span tracer emitting structured records
-  with ids, parent ids and system-wide monotonic timestamps, mergeable
-  across processes and exportable as Chrome ``trace_event`` JSON;
+  with ids, parent ids, system-wide monotonic timestamps and CPU time,
+  mergeable across processes and exportable as Chrome ``trace_event``
+  JSON.  Spans are the only stage timer: ``RuntimeReport.stages`` is
+  their per-name sum (:func:`span_totals`);
 * :mod:`~repro.obs.telemetry` -- the live :class:`Telemetry` collector
   (workers record locally, exports ride back with each chunk, the parent
   merges) and the frozen :class:`RunTelemetry` attached to
@@ -24,8 +26,9 @@ them all:
   ``repro.obs.live/1``), deliberately excluded from ``metrics_json()``
   so the byte-identity contract is untouched;
 * :mod:`~repro.obs.profile` -- a sampling profiler
-  (:class:`SamplingProfiler`) with per-stage aggregation and
-  collapsed-stack flamegraph export.
+  (:class:`SamplingProfiler`) that buckets each sample by the innermost
+  span open on the sampled thread, with collapsed-stack flamegraph
+  export.
 
 See ``docs/observability.md`` for the design and the determinism
 contract.
@@ -43,7 +46,7 @@ from repro.obs.live import (
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.profile import ProfileReport, SamplingProfiler
 from repro.obs.telemetry import RunTelemetry, Telemetry
-from repro.obs.trace import SpanRecord, SpanTracer, chrome_trace
+from repro.obs.trace import SpanRecord, SpanTracer, chrome_trace, span_totals
 
 __all__ = [
     "Counter",
@@ -64,4 +67,5 @@ __all__ = [
     "parse_prometheus",
     "record_live",
     "render_prometheus",
+    "span_totals",
 ]

@@ -1,15 +1,17 @@
 """A lightweight sampling profiler with per-stage aggregation.
 
-The deterministic timers in :mod:`repro.runtime.profiler` answer "how
-long did each stage take"; they cannot answer "where *inside* render is
-the time going" without instrumenting every function.  This sampler
-answers that statistically: a daemon thread (or, opt-in, a SIGPROF
-timer) captures the target thread's Python stack every few
-milliseconds, aggregates identical stacks, and buckets every sample by
-the innermost pipeline stage on the stack -- so one profile shows both
-the stage split and the hot call paths, exportable as collapsed stacks
-for any flamegraph renderer (``stackcollapse`` format: one
-``frame;frame;frame count`` line per unique stack).
+Stage spans (:mod:`repro.obs.trace`) answer "how long did each stage
+take"; they cannot answer "where *inside* render is the time going"
+without instrumenting every function.  This sampler answers that
+statistically: a daemon thread (or, opt-in, a SIGPROF timer) captures
+the target thread's Python stack every few milliseconds, aggregates
+identical stacks, and buckets every sample by the innermost span open on
+that thread when it was taken (:func:`repro.obs.trace.innermost_span`),
+or ``other`` when none is -- so one profile shows both the stage split,
+in the same taxonomy as ``RuntimeReport.stages``, and the hot call
+paths, exportable as collapsed stacks for any flamegraph renderer
+(``stackcollapse`` format: one ``frame;frame;frame count`` line per
+unique stack).
 
 Sampling is exec-scoped by nature (which samples land depends on
 scheduling, never on the work), so the profiler lives entirely outside
@@ -34,27 +36,9 @@ import sys
 import threading
 import time
 import types
-from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
-#: Function names that mark a pipeline stage when seen on the stack.
-#: The innermost match wins, so helper frames under ``render`` still
-#: bucket as render.  Mirrors the stage taxonomy of
-#: :class:`repro.runtime.profiler.StageTimers` and the campaign layer.
-STAGE_FUNCTIONS: Mapping[str, str] = {
-    # link pipeline stages
-    "render_frame": "render",
-    "prepare_stream": "render",
-    "capture_frame": "observe",
-    "observe": "observe",
-    "decide_observations": "decide",
-    "decide_observations_healed": "decide",
-    "summarize_link": "score",
-    # transport / serve / campaign layers
-    "run_transport_link": "transport",
-    "_simulate_receiver": "serve",
-    "execute_unit": "campaign",
-}
+from repro.obs.trace import innermost_span
 
 #: Default sampling period: 5 ms ~ 200 Hz, cheap enough to leave on.
 DEFAULT_INTERVAL_S = 0.005
@@ -72,16 +56,6 @@ def _frame_labels(frame: types.FrameType | None) -> tuple[str, ...]:
     return tuple(labels)
 
 
-def stage_of(stack: tuple[str, ...]) -> str:
-    """The stage bucket of one sampled stack (innermost marker wins)."""
-    for label in reversed(stack):
-        name = label.rsplit(":", 1)[-1]
-        stage = STAGE_FUNCTIONS.get(name)
-        if stage is not None:
-            return stage
-    return "other"
-
-
 @dataclass(frozen=True)
 class ProfileReport:
     """One finished sampling session, aggregated and JSON-ready.
@@ -97,7 +71,8 @@ class ProfileReport:
     stacks:
         ``stack -> count`` over unique sampled stacks.
     by_stage:
-        ``stage -> count`` per :data:`STAGE_FUNCTIONS` bucket.
+        ``span name -> count``: each sample under the innermost span
+        open on the sampled thread, ``other`` when none was open.
     """
 
     samples: int
@@ -147,11 +122,11 @@ class ProfileReport:
             f"sampling profile: {self.samples} samples over "
             f"{self.duration_s:.2f} s ({self.interval_s * 1000:g} ms period)"
         ]
-        for stage, fraction in sorted(
-            self.stage_fractions().items(), key=lambda kv: -kv[1]
-        ):
+        fractions = self.stage_fractions()
+        width = max([10, *map(len, fractions)])
+        for stage, fraction in sorted(fractions.items(), key=lambda kv: -kv[1]):
             lines.append(
-                f"  {stage:<10s} {fraction * 100:5.1f}%  "
+                f"  {stage:<{width}s} {fraction * 100:5.1f}%  "
                 f"({self.by_stage[stage]} samples)"
             )
         return "\n".join(lines)
@@ -194,6 +169,7 @@ class SamplingProfiler:
         self.mode = mode
         self.target_thread_id = target_thread_id
         self._stacks: dict[tuple[str, ...], int] = {}
+        self._by_stage: dict[str, int] = {}
         self._samples = 0
         self._started_at = 0.0
         self._duration_s = 0.0
@@ -204,23 +180,26 @@ class SamplingProfiler:
     # ------------------------------------------------------------------
     # Sample capture (shared by both modes)
     # ------------------------------------------------------------------
-    def _record_frame(self, frame: types.FrameType | None) -> None:
+    def _record_frame(self, frame: types.FrameType | None, thread_id: int) -> None:
         if frame is None:
             return
         stack = _frame_labels(frame)
         if not stack:
             return
+        stage = innermost_span(thread_id) or "other"
         self._stacks[stack] = self._stacks.get(stack, 0) + 1
+        self._by_stage[stage] = self._by_stage.get(stage, 0) + 1
         self._samples += 1
 
     def _sample_thread_loop(self, target_id: int) -> None:
         while not self._stop.is_set():
             frame = sys._current_frames().get(target_id)
-            self._record_frame(frame)
+            self._record_frame(frame, target_id)
             self._stop.wait(self.interval_s)
 
     def _on_sigprof(self, signum: int, frame: types.FrameType | None) -> None:
-        self._record_frame(frame)
+        # Signal handlers run on the main thread, the one interrupted.
+        self._record_frame(frame, threading.get_ident())
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -278,13 +257,6 @@ class SamplingProfiler:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def _iter_stage_counts(self) -> Iterator[tuple[str, int]]:
-        by_stage: dict[str, int] = {}
-        for stack, count in self._stacks.items():
-            stage = stage_of(stack)
-            by_stage[stage] = by_stage.get(stage, 0) + count
-        yield from sorted(by_stage.items())
-
     def report(self) -> ProfileReport:
         """Freeze what was sampled so far into a :class:`ProfileReport`."""
         duration = self._duration_s
@@ -295,5 +267,5 @@ class SamplingProfiler:
             duration_s=duration,
             interval_s=self.interval_s,
             stacks=dict(self._stacks),
-            by_stage=dict(self._iter_stage_counts()),
+            by_stage=dict(sorted(self._by_stage.items())),
         )

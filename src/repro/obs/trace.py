@@ -3,10 +3,15 @@
 A :class:`SpanTracer` hands out ``with tracer.span("decode", capture=3):``
 context managers.  Each completed span becomes an immutable
 :class:`SpanRecord` carrying an id, its parent's id (from the tracer's
-span stack), the *track* it ran on, and monotonic timestamps from
+span stack), the *track* it ran on, monotonic timestamps from
 :func:`time.perf_counter` -- which on POSIX is a system-wide clock, so
 spans recorded in worker processes line up with the parent's on a shared
-timeline.
+timeline -- and the process CPU time spent inside it.
+
+Spans are the only stage timer: :func:`span_totals` sums them per name
+into the ``{wall_s, cpu_s, calls}`` rows of ``RuntimeReport.stages`` and
+the run report's span table, and :func:`innermost_span` tells the
+sampling profiler which span a thread is inside when it is sampled.
 
 Workers each build their own tracer (track names like ``chunk-003`` come
 from the deterministic chunk plan), export their records, and ship them
@@ -21,8 +26,10 @@ timestamps, of course, are not.
 
 from __future__ import annotations
 
+import os
+import threading
 import time
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import cast
@@ -35,6 +42,25 @@ EXEC = "exec"
 #: JSON-ready attribute values a span may carry.
 AttrValue = str | int | float | bool | None
 
+#: Spans summed per name: ``{name: {"wall_s": ..., "cpu_s": ..., "calls": ...}}``.
+SpanTotals = dict[str, dict[str, float | int]]
+
+#: Names of the spans open right now, innermost last, per thread id and
+#: across every tracer in the process.  Only the owning thread mutates
+#: its list; the sampling profiler reads it from another thread.
+_OPEN_SPANS: dict[int, list[str]] = {}
+
+# A forked worker starts with none of its parent's spans open.
+if hasattr(os, "register_at_fork"):  # POSIX only
+    os.register_at_fork(after_in_child=_OPEN_SPANS.clear)
+
+
+def innermost_span(thread_id: int) -> str | None:
+    """Name of the innermost span open on thread *thread_id*, if any."""
+    names = _OPEN_SPANS.get(thread_id)
+    # reversed() stops cleanly if the owner pops the list meanwhile.
+    return next(reversed(names), None) if names else None
+
 
 @dataclass(frozen=True)
 class SpanRecord:
@@ -42,6 +68,8 @@ class SpanRecord:
 
     ``start_s`` is a raw :func:`time.perf_counter` reading; consumers
     subtract the collection's minimum to get a run-relative timeline.
+    ``cpu_s`` is the process CPU time spent inside the span (None for
+    instant events and for spans exported before it was recorded).
     """
 
     name: str
@@ -52,6 +80,7 @@ class SpanRecord:
     start_s: float
     dur_s: float | None
     attrs: dict[str, AttrValue]
+    cpu_s: float | None = None
 
     def as_dict(self) -> dict[str, object]:
         """JSON-ready form."""
@@ -64,13 +93,15 @@ class SpanRecord:
             "start_s": self.start_s,
             "dur_s": self.dur_s,
             "attrs": dict(self.attrs),
+            "cpu_s": self.cpu_s,
         }
 
     @staticmethod
     def from_dict(payload: dict[str, object]) -> "SpanRecord":
-        """Rebuild a record from :meth:`as_dict` output."""
+        """Rebuild a record from :meth:`as_dict` output (``cpu_s`` optional)."""
         parent = cast("int | None", payload["parent_id"])
         dur = cast("float | None", payload["dur_s"])
+        cpu = cast("float | None", payload.get("cpu_s"))
         attrs = cast("dict[str, AttrValue]", payload.get("attrs") or {})
         return SpanRecord(
             name=str(payload["name"]),
@@ -81,6 +112,7 @@ class SpanRecord:
             start_s=float(cast(float, payload["start_s"])),
             dur_s=None if dur is None else float(dur),
             attrs=dict(attrs),
+            cpu_s=None if cpu is None else float(cpu),
         )
 
 
@@ -100,16 +132,21 @@ class SpanTracer:
 
     @contextmanager
     def span(self, name: str, category: str = WORK, **attrs: AttrValue) -> Iterator[None]:
-        """Time a ``with`` block as one span under the current parent."""
+        """Time a ``with`` block (wall + CPU) as one span under the current parent."""
         span_id = self._next_id
         self._next_id += 1
         parent = self._stack[-1] if self._stack else None
         self._stack.append(span_id)
+        open_names = _OPEN_SPANS.setdefault(threading.get_ident(), [])
+        open_names.append(name)
         start = time.perf_counter()
+        cpu0 = time.process_time()
         try:
             yield
         finally:
             dur = time.perf_counter() - start
+            cpu = time.process_time() - cpu0
+            open_names.pop()
             self._stack.pop()
             self._records.append(
                 SpanRecord(
@@ -121,6 +158,7 @@ class SpanTracer:
                     start_s=start,
                     dur_s=dur,
                     attrs=attrs,
+                    cpu_s=cpu,
                 )
             )
 
@@ -153,6 +191,23 @@ class SpanTracer:
     def merge(self, exported: Sequence[dict[str, object]]) -> None:
         """Fold serialized records from another tracer into this one."""
         self._records.extend(SpanRecord.from_dict(payload) for payload in exported)
+
+
+def span_totals(records: Iterable[SpanRecord]) -> SpanTotals:
+    """Completed spans summed per name into ``{wall_s, cpu_s, calls}``.
+
+    Instant events are skipped; a span without CPU time adds none.
+    Rows come back sorted by name, whatever order the spans merged in.
+    """
+    totals: SpanTotals = {}
+    for record in records:
+        if record.dur_s is None:
+            continue
+        row = totals.setdefault(record.name, {"wall_s": 0.0, "cpu_s": 0.0, "calls": 0})
+        row["wall_s"] += record.dur_s
+        row["cpu_s"] += record.cpu_s or 0.0
+        row["calls"] += 1
+    return dict(sorted(totals.items()))
 
 
 def sort_spans(records: Sequence[SpanRecord]) -> list[SpanRecord]:

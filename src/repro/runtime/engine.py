@@ -29,7 +29,7 @@ from collections import deque
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import AbstractContextManager, nullcontext
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -122,9 +122,10 @@ class ExecutionEngine:
     start_method:
         Multiprocessing start method; default prefers ``fork``.
     telemetry:
-        Optional :class:`~repro.obs.Telemetry` that receives exec-scoped
-        pool accounting: one ``exec.pool_pass`` span per pool lifetime
-        and ``exec.pool_builds`` / ``exec.pool_rebuilds`` counters.
+        The :class:`~repro.obs.Telemetry` that receives exec-scoped pool
+        accounting: one ``exec.pool_pass`` span per pool lifetime and
+        ``exec.pool_builds`` / ``exec.pool_rebuilds`` counters.  Defaults
+        to a private collector.
     """
 
     def __init__(
@@ -145,15 +146,13 @@ class ExecutionEngine:
         )
         self.fallback_serial = bool(fallback_serial)
         self.start_method = start_method or resolve_start_method()
-        self.telemetry = telemetry
+        self.telemetry = telemetry if telemetry is not None else Telemetry(track="engine")
         self.stats = EngineStats()
 
     def _pass_span(
         self, n_pending: int, rebuild: bool
     ) -> AbstractContextManager[None]:
-        """An exec-scoped span around one pool lifetime (no-op untracked)."""
-        if self.telemetry is None:
-            return nullcontext()
+        """An exec-scoped span around one pool lifetime."""
         metrics = self.telemetry.metrics
         metrics.counter("exec.pool_builds", scope=EXEC).inc()
         if rebuild:

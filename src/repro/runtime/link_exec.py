@@ -4,10 +4,10 @@ One work item is a :class:`~repro.runtime.scheduler.WorkChunk` of camera
 frame indices.  A worker renders each capture from the display timeline
 (with the capture's own spawn-keyed RNG), extracts the decoder's noise
 observation, parks the pixels in a shared-memory slot, and sends back
-only slot handles, observations and timings.  The parent drains slots as
-chunks complete and reassembles the ordered capture/observation lists --
-bit-identical to serial execution, because no randomness is shared
-across captures (see ``docs/runtime.md`` for the contract).
+only slot handles, observations and stage spans.  The parent drains
+slots as chunks complete and reassembles the ordered capture/observation
+lists -- bit-identical to serial execution, because no randomness is
+shared across captures (see ``docs/runtime.md`` for the contract).
 
 Chunks are contiguous so each worker's timeline cache stays warm: one
 capture integrates a handful of consecutive display frames, and
@@ -17,7 +17,6 @@ consecutive captures overlap only at chunk boundaries.
 from __future__ import annotations
 
 import time
-from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Protocol
 
@@ -26,9 +25,8 @@ import numpy as np
 from repro.camera.capture import CapturedFrame, TimelineLike
 from repro.display.scheduler import DisplayTimeline
 from repro.obs import Telemetry
-from repro.obs.trace import EXEC
+from repro.obs.trace import EXEC, SpanTracer
 from repro.runtime.engine import ExecutionEngine
-from repro.runtime.profiler import StageTimers
 from repro.runtime.scheduler import WorkChunk, plan_chunks
 from repro.runtime.shm import SharedFramePool, SlotRef, shared_memory_available
 
@@ -92,13 +90,17 @@ class _CaptureRecord:
 @dataclass(frozen=True)
 class _ChunkResult:
     records: tuple[_CaptureRecord, ...]
-    timings: dict
-    telemetry: dict[str, object] | None = None
+    telemetry: dict[str, object]
 
 
 @dataclass(frozen=True)
 class LinkExecution:
-    """Ordered outputs of the capture+observe stages, plus accounting."""
+    """Ordered outputs of the capture+observe stages, plus accounting.
+
+    ``tracer`` holds every stage span of the run so far (the caller's
+    telemetry tracer when one was given); the caller adds its own stage
+    spans to it and derives ``RuntimeReport.stages`` from its records.
+    """
 
     captures: list[CapturedFrame]
     observations: list[BlockObservation]
@@ -106,7 +108,7 @@ class LinkExecution:
     workers: int
     chunks: int
     retries: int
-    timers: StageTimers
+    tracer: SpanTracer
     crashed_chunks: tuple[int, ...] = ()
     serial_fallback: bool = False
 
@@ -115,23 +117,22 @@ def _capture_chunk(task: _ChunkTask, ctx: _LinkContext) -> _ChunkResult:
     """Render, film and observe every capture of one chunk (worker side)."""
     from repro.core.decoder import record_observation_telemetry
 
-    timers = StageTimers()
-    telemetry = None
-    if ctx.collect_telemetry:
-        # A deterministic track name from the chunk plan keeps (track,
-        # span_id) unique after the parent merges all chunk exports.
-        telemetry = Telemetry(track=f"chunk-{task.chunk.index:03d}")
+    # A deterministic track name from the chunk plan keeps (track,
+    # span_id) unique after the parent merges all chunk exports.
+    telemetry = Telemetry(track=f"chunk-{task.chunk.index:03d}")
+    span = telemetry.tracer.span
     records = []
     for position, index in enumerate(task.chunk.items):
         rng = task.chunk.item_rng(index)
-        with timers.stage("render"), _maybe_span(telemetry, "render", index):
+        with span("render", capture=index):
             capture = ctx.camera.capture_frame(ctx.timeline, index, rng=rng)
-        with timers.stage("observe"), _maybe_span(telemetry, "observe", index):
+        with span("observe", capture=index):
             observation = ctx.decoder.observe(capture)
-        if telemetry is not None:
+        if ctx.collect_telemetry:
             record_observation_telemetry(observation, telemetry)
         if task.slots is not None:
-            with timers.stage("transfer"):
+            # How many transfers run depends on the execution mode.
+            with span("transfer", EXEC, capture=index):
                 slot = ctx.pool.write(task.slots[position], capture.pixels)
             pixels = None
         else:
@@ -146,20 +147,7 @@ def _capture_chunk(task: _ChunkTask, ctx: _LinkContext) -> _ChunkResult:
                 observation=observation,
             )
         )
-    return _ChunkResult(
-        records=tuple(records),
-        timings=timers.as_dict(),
-        telemetry=telemetry.export() if telemetry is not None else None,
-    )
-
-
-def _maybe_span(
-    telemetry: Telemetry | None, name: str, capture: int
-) -> AbstractContextManager[None]:
-    """A telemetry span for one pipeline stage, or a no-op when disabled."""
-    if telemetry is None:
-        return nullcontext()
-    return telemetry.tracer.span(name, capture=capture)
+    return _ChunkResult(records=tuple(records), telemetry=telemetry.export())
 
 
 def execute_link_captures(
@@ -179,11 +167,16 @@ def execute_link_captures(
     memory) but on the same per-capture RNG streams and the same code
     path, so the results are identical either way.
 
-    When *telemetry* is given, workers collect per-capture metrics and
-    spans locally (on ``chunk-NNN`` tracks) and their exports are folded
-    into it as chunks drain; scheduling and shared-memory accounting land
-    in exec-scoped metrics on the parent side.
+    Workers record stage spans locally (on ``chunk-NNN`` tracks) and
+    their exports are folded into the parent's tracer as chunks drain.
+    When *telemetry* is given, workers also collect per-capture metrics,
+    and the spans, those metrics and the exec-scoped scheduling and
+    shared-memory accounting all land in it; without it they go to a
+    private collector whose tracer still times the stages.
     """
+    collect_telemetry = telemetry is not None
+    if telemetry is None:
+        telemetry = Telemetry(track="main")
     serial = workers is None or int(workers) <= 1
     engine = ExecutionEngine(workers=1 if serial else int(workers),
                              max_retries=max_retries, telemetry=telemetry)
@@ -209,14 +202,12 @@ def execute_link_captures(
         camera=camera,
         decoder=decoder,
         pool=pool,
-        collect_telemetry=telemetry is not None,
+        collect_telemetry=collect_telemetry,
     )
-    timers = StageTimers()
     by_index: dict[int, tuple[CapturedFrame, BlockObservation]] = {}
-    if telemetry is not None:
-        telemetry.metrics.counter("exec.chunks", scope=EXEC).inc(len(chunks))
-        if pool is not None:
-            telemetry.metrics.gauge("exec.shm_slots").set(pool.n_slots)
+    telemetry.metrics.counter("exec.chunks", scope=EXEC).inc(len(chunks))
+    if pool is not None:
+        telemetry.metrics.gauge("exec.shm_slots").set(pool.n_slots)
 
     def prepare(_i: int, task: _ChunkTask) -> _ChunkTask:
         if pool is None or task.slots is not None:
@@ -224,17 +215,14 @@ def execute_link_captures(
         prepared = replace(
             task, slots=tuple(pool.acquire() for _ in range(len(task.chunk)))
         )
-        if telemetry is not None:
-            telemetry.metrics.gauge("exec.shm_peak_occupancy").set(
-                pool.n_slots - pool.n_free
-            )
+        telemetry.metrics.gauge("exec.shm_peak_occupancy").set(
+            pool.n_slots - pool.n_free
+        )
         return prepared
 
     def drain(_i: int, result: _ChunkResult) -> None:
-        timers.merge(result.timings)
-        if telemetry is not None and result.telemetry is not None:
-            telemetry.merge_export(result.telemetry)
-        with timers.stage("transfer"):
+        telemetry.merge_export(result.telemetry)
+        with telemetry.tracer.span("transfer", EXEC):
             for record in result.records:
                 if record.slot is not None:
                     pixels = pool.read(record.slot, copy=True)
@@ -262,13 +250,10 @@ def execute_link_captures(
     finally:
         if pool is not None:
             pool.close()
-    if telemetry is not None:
-        stats = engine.stats
-        telemetry.metrics.counter("exec.retries", scope=EXEC).inc(stats.retries)
-        telemetry.metrics.counter("exec.crashes", scope=EXEC).inc(stats.crashes)
-        telemetry.metrics.counter("exec.serial_items", scope=EXEC).inc(
-            stats.serial_items
-        )
+    stats = engine.stats
+    telemetry.metrics.counter("exec.retries", scope=EXEC).inc(stats.retries)
+    telemetry.metrics.counter("exec.crashes", scope=EXEC).inc(stats.crashes)
+    telemetry.metrics.counter("exec.serial_items", scope=EXEC).inc(stats.serial_items)
     ordered = [by_index[i] for i in sorted(by_index)]
     return LinkExecution(
         captures=[pair[0] for pair in ordered],
@@ -277,7 +262,7 @@ def execute_link_captures(
         workers=engine.workers,
         chunks=len(chunks),
         retries=engine.stats.retries,
-        timers=timers,
+        tracer=telemetry.tracer,
         crashed_chunks=tuple(engine.stats.crashed_items),
         serial_fallback=engine.stats.mode == "serial-fallback",
     )

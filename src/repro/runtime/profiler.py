@@ -1,87 +1,18 @@
-"""Lightweight observability: per-stage timers and the run report.
+"""The run report: frames/sec, bits/sec and the per-stage breakdown.
 
-Workers time their stages locally (wall clock and CPU clock), the
-timings ride back with each chunk's result, and the parent merges them
-into one :class:`RuntimeReport` -- frames/sec, bits/sec and a per-stage
-breakdown that :func:`repro.core.pipeline.run_link`, the CLIs and the
-benchmarks surface.  The timers are plain counters, cheap enough to stay
-on unconditionally.
+Stage timings are not kept here: every stage boundary opens one
+:class:`~repro.obs.trace.SpanTracer` span (workers on their own chunk
+tracks, shipped back with each chunk's result), and
+:func:`~repro.obs.trace.span_totals` sums a run's spans per name into
+:attr:`RuntimeReport.stages`.  :func:`repro.core.pipeline.run_link`
+builds the report; the CLIs and the benchmarks surface it.
 """
 
 from __future__ import annotations
 
-import time
-from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-
-@dataclass
-class StageTiming:
-    """Accumulated cost of one pipeline stage."""
-
-    wall_s: float = 0.0
-    cpu_s: float = 0.0
-    calls: int = 0
-
-    def add(self, wall_s: float, cpu_s: float, calls: int = 1) -> None:
-        self.wall_s += wall_s
-        self.cpu_s += cpu_s
-        self.calls += calls
-
-    def as_dict(self) -> dict[str, float | int]:
-        return {"wall_s": self.wall_s, "cpu_s": self.cpu_s, "calls": self.calls}
-
-
-class StageTimers:
-    """A named collection of :class:`StageTiming` counters."""
-
-    def __init__(self) -> None:
-        self._stages: dict[str, StageTiming] = {}
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        """Time a ``with`` block under *name* (wall + CPU)."""
-        wall0 = time.perf_counter()
-        cpu0 = time.process_time()
-        try:
-            yield
-        finally:
-            self._timing(name).add(
-                time.perf_counter() - wall0, time.process_time() - cpu0
-            )
-
-    def _timing(self, name: str) -> StageTiming:
-        timing = self._stages.get(name)
-        if timing is None:
-            timing = self._stages[name] = StageTiming()
-        return timing
-
-    def merge(self, other: "StageTimers | dict[str, dict[str, float | int]]") -> None:
-        """Fold another timer set (or its serialized form) into this one.
-
-        The dict form accepts any ``as_dict``-shaped payload: missing
-        fields default to zero and extra keys are ignored, so timings
-        recorded by a newer (or older) serializer still merge instead of
-        raising ``TypeError``.
-        """
-        if isinstance(other, StageTimers):
-            items = [(k, t.wall_s, t.cpu_s, t.calls) for k, t in other._stages.items()]
-        else:
-            items = [
-                (
-                    k,
-                    float(v.get("wall_s", 0.0)),
-                    float(v.get("cpu_s", 0.0)),
-                    int(v.get("calls", 0)),
-                )
-                for k, v in other.items()
-            ]
-        for name, wall_s, cpu_s, calls in items:
-            self._timing(name).add(wall_s, cpu_s, calls)
-
-    def as_dict(self) -> dict[str, dict[str, float | int]]:
-        return {name: timing.as_dict() for name, timing in self._stages.items()}
+from repro.obs.trace import SpanTotals
 
 
 @dataclass(frozen=True)
@@ -105,9 +36,10 @@ class RuntimeReport:
     retries:
         Pool rebuilds after worker crashes.
     stages:
-        Per-stage breakdown, ``{name: {wall_s, cpu_s, calls}}``.  Worker
-        stages sum *across* workers, so their wall total can exceed
-        ``elapsed_s`` -- that surplus is the parallelism actually won.
+        Per-stage breakdown, ``{name: {wall_s, cpu_s, calls}}``, summed
+        from the run's stage spans.  Worker stages sum *across* workers,
+        so their wall total can exceed ``elapsed_s`` -- that surplus is
+        the parallelism actually won.
     crashed_chunks:
         Chunk indices a pool pass lost to ``BrokenProcessPool`` (each was
         subsequently retried on a rebuilt pool or completed in-process).
@@ -123,7 +55,7 @@ class RuntimeReport:
     bits: int
     elapsed_s: float
     retries: int = 0
-    stages: dict[str, dict[str, float | int]] = field(default_factory=dict)
+    stages: SpanTotals = field(default_factory=dict)
     crashed_chunks: tuple[int, ...] = ()
     serial_fallback: bool = False
 
@@ -183,9 +115,12 @@ class RuntimeReport:
         reports = [r for r in reports if r is not None]
         if not reports:
             return None
-        timers = StageTimers()
+        stages: SpanTotals = {}
         for report in reports:
-            timers.merge(report.stages)
+            for name, stage in report.stages.items():
+                row = stages.setdefault(name, {"wall_s": 0.0, "cpu_s": 0.0, "calls": 0})
+                for key in row:
+                    row[key] += stage[key]
         modes = {r.mode for r in reports}
         return RuntimeReport(
             mode=modes.pop() if len(modes) == 1 else "mixed",
@@ -195,7 +130,7 @@ class RuntimeReport:
             bits=sum(r.bits for r in reports),
             elapsed_s=sum(r.elapsed_s for r in reports),
             retries=sum(r.retries for r in reports),
-            stages=timers.as_dict(),
+            stages=dict(sorted(stages.items())),
             crashed_chunks=tuple(i for r in reports for i in r.crashed_chunks),
             serial_fallback=any(r.serial_fallback for r in reports),
         )

@@ -114,23 +114,28 @@ def _simulate_receiver(
         camera.width,
         screen_rect=camera.screen_rect() if camera.screen_fill < 1.0 else None,
     )
+    # The same stage spans as the link path (repro.runtime.link_exec).
+    span = telemetry.tracer.span
     captures: list[CapturedFrame] = []
     observations: list[BlockObservation] = []
     for i in range(n_captures):
         rng = spawn_rng(ctx.seed, _KEY_RECEIVER, spec.receiver_id, i)
-        capture = source.capture_frame(ctx.timeline, i, rng=rng)
-        observations.append(decoder.observe(capture))
+        with span("render", capture=i):
+            capture = source.capture_frame(ctx.timeline, i, rng=rng)
+        with span("observe", capture=i):
+            observations.append(decoder.observe(capture))
         if compiled is not None and compiled.perturbs_stream:
             captures.append(capture)
     if compiled is not None and compiled.perturbs_stream:
         _, observations, _ = apply_stream_faults(compiled, captures, observations)
 
     resyncs = 0
-    if spec.heal:
-        decoded, healing = decoder.decide_observations_healed(observations)
-        resyncs = healing.n_resyncs
-    else:
-        decoded = decoder.decide_observations(observations)
+    with span("decide"):
+        if spec.heal:
+            decoded, healing = decoder.decide_observations_healed(observations)
+            resyncs = healing.n_resyncs
+        else:
+            decoded = decoder.decide_observations(observations)
 
     # Collect the carousel incrementally: each decoded data frame merges
     # into its cycle slot, and a slot is delivered the moment it becomes

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import signal
 import time
 
 import pytest
@@ -19,7 +20,8 @@ from repro.camera.capture import CameraModel
 from repro.campaign.supervise import JournalTail, LeaseHealth, SupervisePolicy
 from repro.core.pipeline import run_link
 from repro.faults import FaultPlan
-from repro.obs import Telemetry
+from repro.analysis.experiments import ExperimentScale
+from repro.obs import SpanTracer, Telemetry
 from repro.obs.live import (
     LIVE_FORMAT,
     LiveCollector,
@@ -31,7 +33,7 @@ from repro.obs.live import (
     record_live,
     render_prometheus,
 )
-from repro.obs.profile import ProfileReport, SamplingProfiler, stage_of
+from repro.obs.profile import ProfileReport, SamplingProfiler
 from repro.tools import perf as perf_tool
 from repro.tools import watch as watch_tool
 from repro.tools.perf import (
@@ -254,10 +256,53 @@ class TestSamplingProfiler:
         report.write_collapsed(str(path))
         assert path.read_text() == "m:f 1\n"
 
-    def test_stage_bucketing_innermost_wins(self):
-        assert stage_of(("mod:main", "pipeline:render_frame")) == "render"
-        assert stage_of(("pipeline:render_frame", "camera:capture_frame")) == "observe"
-        assert stage_of(("mod:main", "mod:helper")) == "other"
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            "thread",
+            pytest.param(
+                "signal",
+                marks=pytest.mark.skipif(
+                    not hasattr(signal, "setitimer"), reason="no SIGPROF timer here"
+                ),
+            ),
+        ],
+    )
+    def test_stage_bucketing_innermost_span_wins(self, mode):
+        tracer = SpanTracer()
+        profiler = SamplingProfiler(interval_s=0.001, mode=mode)
+        with profiler:
+            with tracer.span("transport.round"):
+                with tracer.span("render"):
+                    deadline = time.process_time() + 0.15
+                    while time.process_time() < deadline:
+                        sum(range(200))
+        by_stage = profiler.report().by_stage
+        assert max(by_stage, key=by_stage.__getitem__) == "render"
+        assert by_stage["render"] > sum(by_stage.values()) / 2
+
+    def test_samples_outside_any_span_are_other(self):
+        profiler = SamplingProfiler(interval_s=0.001)
+        with profiler:
+            deadline = time.perf_counter() + 0.05
+            while time.perf_counter() < deadline:
+                sum(range(200))
+        report = profiler.report()
+        assert report.samples > 0
+        assert report.by_stage == {"other": report.samples}
+
+    def test_serial_link_profile_agrees_with_runtime_stages(self):
+        # The sampler and RuntimeReport.stages read the same spans, so
+        # they must agree on where a render-heavy run spends its time.
+        scale = ExperimentScale.quick()
+        config = scale.config(amplitude=20.0, tau=12)
+        with SamplingProfiler() as profiler:
+            run = run_link(config, scale.video("gray"), camera=scale.camera(), seed=1)
+        stages = run.runtime.stages
+        by_stage = profiler.report().by_stage
+        top_stage = max(stages, key=lambda name: stages[name]["wall_s"])
+        assert top_stage == "render"
+        assert max(by_stage, key=by_stage.__getitem__) == top_stage
 
     def test_empty_report_summary(self):
         profiler = SamplingProfiler()

@@ -8,6 +8,9 @@ work-scoped metrics byte for byte (see ``docs/observability.md``).
 from __future__ import annotations
 
 import json
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,10 +24,14 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     RunTelemetry,
+    SpanRecord,
     SpanTracer,
     Telemetry,
+    span_totals,
 )
 from repro.obs.metrics import EXEC, WORK
+from repro.obs.trace import innermost_span
+from repro.tools import report as report_tool
 from repro.tools.report import validate_chrome_trace
 
 
@@ -204,6 +211,87 @@ class TestSpanTracer:
         merged = SpanTracer()
         merged.merge(tracer.export())
         assert merged.records[0].attrs == {"capture": 7, "mode": "serial"}
+
+    def test_spans_record_cpu_time(self):
+        tracer = SpanTracer()
+        with tracer.span("render"):
+            sum(range(20000))
+        tracer.event("tick")
+        span, event = tracer.records
+        assert span.cpu_s is not None and span.cpu_s >= 0.0
+        assert event.cpu_s is None
+        merged = SpanTracer()
+        merged.merge(tracer.export())
+        assert merged.records == tracer.records
+
+    def test_innermost_span_is_per_thread_under_concurrent_reads(self):
+        stop = threading.Event()
+        seen: set[str | None] = set()
+
+        def churn() -> None:
+            tracer = SpanTracer(track="worker")
+            while not stop.is_set():
+                with tracer.span("a"):
+                    with tracer.span("b"):
+                        time.sleep(0)  # hand over the GIL with "b" open
+
+        tracer = SpanTracer()
+        worker = threading.Thread(target=churn, daemon=True)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with tracer.span("outer"):
+                worker.start()
+                for _ in range(20000):
+                    seen.add(innermost_span(worker.ident))
+                    assert innermost_span(threading.get_ident()) == "outer"
+        finally:
+            stop.set()
+            sys.setswitchinterval(previous)
+            worker.join(timeout=5.0)
+        assert not worker.is_alive()
+        assert seen <= {None, "a", "b"} and "b" in seen
+        assert innermost_span(threading.get_ident()) is None
+
+    def test_span_totals_sum_per_name(self):
+        def record(name, dur, cpu, span_id):
+            return SpanRecord(name, "work", "main", span_id, None, 0.0, dur, {}, cpu)
+
+        records = [
+            record("render", 0.5, 0.25, 1),
+            record("decide", 0.125, None, 2),  # exported without CPU time
+            record("render", 0.25, 0.25, 3),
+            record("heal.resync", None, None, 4),  # instant event: skipped
+        ]
+        totals = span_totals(records)
+        assert list(totals) == ["decide", "render"]
+        assert totals["render"] == {"wall_s": 0.75, "cpu_s": 0.5, "calls": 2}
+        assert totals["decide"] == {"wall_s": 0.125, "cpu_s": 0.0, "calls": 1}
+        assert span_totals([]) == {}
+
+    def test_from_dict_accepts_spans_without_cpu_time(self, tmp_path, capsys):
+        # The span layout written before spans carried CPU time.
+        legacy = {
+            "name": "render",
+            "category": "work",
+            "track": "chunk-000",
+            "span_id": 1,
+            "parent_id": None,
+            "start_s": 10.0,
+            "dur_s": 0.5,
+            "attrs": {"capture": 0},
+        }
+        assert SpanRecord.from_dict(legacy).cpu_s is None
+        path = tmp_path / "telemetry.json"
+        path.write_text(
+            json.dumps({"format": "repro.obs/1", "meta": {}, "metrics": {}, "spans": [legacy]})
+        )
+        run = report_tool.load_telemetry(path)
+        assert span_totals(run.spans) == {
+            "render": {"wall_s": 0.5, "cpu_s": 0.0, "calls": 1}
+        }
+        assert report_tool.main([str(path)]) == 0
+        assert "render" in capsys.readouterr().out
 
 
 class TestRunTelemetry:

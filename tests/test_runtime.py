@@ -27,13 +27,12 @@ from repro.runtime import (
     ExecutionEngine,
     RuntimeReport,
     SharedFramePool,
-    StageTimers,
     plan_chunks,
     shared_memory_available,
     spawn_rng,
 )
+from repro.obs import span_totals
 from repro.runtime.engine import resolve_start_method
-from repro.runtime.profiler import StageTiming
 
 
 # ----------------------------------------------------------------------
@@ -370,25 +369,20 @@ class TestExecutionEngine:
 # Profiler
 # ----------------------------------------------------------------------
 class TestProfiler:
-    def test_stage_timers_merge(self):
-        a, b = StageTimers(), StageTimers()
-        with a.stage("render"):
-            pass
-        with b.stage("render"):
-            pass
-        with b.stage("decide"):
-            pass
-        a.merge(b)
-        merged = a.as_dict()
-        assert merged["render"]["calls"] == 2
-        assert merged["decide"]["calls"] == 1
-
     def test_report_rates_and_merge(self):
         r1 = RuntimeReport(
-            mode="parallel", workers=2, chunks=2, frames=10, bits=800, elapsed_s=2.0
+            mode="parallel", workers=2, chunks=2, frames=10, bits=800, elapsed_s=2.0,
+            stages={
+                "render": {"wall_s": 1.5, "cpu_s": 1.0, "calls": 10},
+                "decide": {"wall_s": 0.25, "cpu_s": 0.25, "calls": 1},
+            },
         )
         r2 = RuntimeReport(
-            mode="parallel", workers=2, chunks=1, frames=5, bits=400, elapsed_s=1.0
+            mode="parallel", workers=2, chunks=1, frames=5, bits=400, elapsed_s=1.0,
+            stages={
+                "render": {"wall_s": 0.5, "cpu_s": 0.5, "calls": 5},
+                "score": {"wall_s": 0.125, "cpu_s": 0.0, "calls": 1},
+            },
         )
         assert r1.frames_per_s == pytest.approx(5.0)
         merged = RuntimeReport.merge([r1, r2])
@@ -397,33 +391,16 @@ class TestProfiler:
         assert merged.elapsed_s == pytest.approx(3.0)
         assert merged.mode == "parallel"
         assert "frames_per_s" in merged.as_dict()
+        assert merged.stages == {
+            "decide": {"wall_s": 0.25, "cpu_s": 0.25, "calls": 1},
+            "render": {"wall_s": 2.0, "cpu_s": 1.5, "calls": 15},
+            "score": {"wall_s": 0.125, "cpu_s": 0.0, "calls": 1},
+        }
+        # Merging copies: the inputs' stage dicts are left untouched.
+        assert r1.stages["render"]["calls"] == 10
 
     def test_merge_empty_is_none(self):
         assert RuntimeReport.merge([]) is None
-
-    def test_stage_timing_add_accumulates(self):
-        timing = StageTiming()
-        timing.add(1.5, 0.5)
-        timing.add(0.5, 0.25, calls=3)
-        assert timing.wall_s == pytest.approx(2.0)
-        assert timing.cpu_s == pytest.approx(0.75)
-        assert timing.calls == 4
-        assert timing.as_dict() == {"wall_s": 2.0, "cpu_s": 0.75, "calls": 4}
-
-    def test_merge_dict_form_tolerates_partial_entries(self):
-        timers = StageTimers()
-        timers.merge(
-            {
-                "render": {"wall_s": 1.0, "cpu_s": 0.5, "calls": 2},
-                "observe": {"wall_s": 0.25},  # cpu_s and calls default to zero
-                "decide": {"calls": 1, "queue_depth": 7},  # extra keys ignored
-            }
-        )
-        merged = timers.as_dict()
-        assert merged["render"] == {"wall_s": 1.0, "cpu_s": 0.5, "calls": 2}
-        assert merged["observe"] == {"wall_s": 0.25, "cpu_s": 0.0, "calls": 0}
-        assert merged["decide"] == {"wall_s": 0.0, "cpu_s": 0.0, "calls": 1}
-        assert "queue_depth" not in merged["decide"]
 
 
 # ----------------------------------------------------------------------
@@ -480,3 +457,54 @@ class TestParallelDeterminism:
         assert report.frames == len(run.captures)
         assert report.frames_per_s > 0
         assert {"render", "observe", "decide", "score"} <= set(report.stages)
+
+    @pytest.mark.parametrize(
+        "workers",
+        [
+            1,
+            pytest.param(
+                2,
+                marks=pytest.mark.skipif(
+                    resolve_start_method() is None, reason="no multiprocessing here"
+                ),
+            ),
+        ],
+    )
+    def test_stages_are_the_runs_span_sums(self, quick_setup, workers):
+        scale, config = quick_setup
+        run = run_link(
+            config, scale.video("gray"), camera=scale.camera(), seed=1, workers=workers
+        )
+        raw = run_link(
+            config,
+            scale.video("gray"),
+            camera=scale.camera(),
+            seed=1,
+            workers=workers,
+            collect_telemetry=False,
+        )
+        assert run.telemetry is not None and raw.telemetry is None
+        # Every span of the run except the engine's exec.* pool passes.
+        sums = span_totals(
+            s for s in run.telemetry.spans if not s.name.startswith("exec.")
+        )
+        stages = run.runtime.stages
+        assert list(stages) == list(sums)
+        for name, row in stages.items():
+            assert row["calls"] == sums[name]["calls"]
+            assert row["wall_s"] == pytest.approx(sums[name]["wall_s"])
+            assert row["cpu_s"] == pytest.approx(sums[name]["cpu_s"])
+        calls = {name: row["calls"] for name, row in stages.items()}
+        frames = len(run.captures)
+        # One transfer per drained chunk, plus one per capture written
+        # to shared memory when a pool ran.
+        shm = run.runtime.mode == "parallel" and shared_memory_available()
+        transfers = run.runtime.chunks + (frames if shm else 0)
+        assert calls == {
+            "decide": 1,
+            "observe": frames,
+            "render": frames,
+            "score": 1,
+            "transfer": transfers,
+        }
+        assert {name: row["calls"] for name, row in raw.runtime.stages.items()} == calls
