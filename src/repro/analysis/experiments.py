@@ -17,7 +17,7 @@ import numpy as np
 from repro._util import stable_seed
 from repro.camera.capture import CameraModel
 from repro.core.config import InFrameConfig
-from repro.core.pipeline import LinkRun, run_link
+from repro.core.pipeline import run_link
 from repro.core.metrics import LinkStats
 from repro.display.scheduler import DisplayTimeline
 from repro.core.pipeline import InFrameSender
@@ -162,19 +162,6 @@ def run_fig7_condition(
     return run.stats
 
 
-def run_fig7_link(
-    video_name: str,
-    delta: float,
-    tau: int,
-    scale: ExperimentScale | None = None,
-    seed: int = 1,
-) -> LinkRun:
-    """Like :func:`run_fig7_condition` but returns the whole run."""
-    scale = scale or ExperimentScale.benchmark()
-    config = scale.config(amplitude=delta, tau=tau)
-    return run_link(config, scale.video(video_name), camera=scale.camera(), seed=seed)
-
-
 # ----------------------------------------------------------------------
 # Figure 6: flicker user study
 # ----------------------------------------------------------------------
@@ -255,11 +242,6 @@ def run_fig6_right(
                 timeline, duration_s, stimulus_seed=stable_seed("fig6-right", delta, tau)
             )
     return results
-
-
-def expected_throughput_kbps(stats: LinkStats) -> float:
-    """The paper's throughput accounting applied to measured ratios."""
-    return stats.throughput_kbps
 
 
 def rng_for(*key: object) -> np.random.Generator:

@@ -57,10 +57,6 @@ class RollingShutter:
         start = frame_start_s + offset
         return (start, start + self.exposure_s)
 
-    def frame_span(self, frame_start_s: float) -> tuple[float, float]:
-        """Window covering every row's exposure for one camera frame."""
-        return (frame_start_s, frame_start_s + self.readout_s + self.exposure_s)
-
     def display_frame_weights(
         self,
         frame_start_s: float,

@@ -1,8 +1,9 @@
 """End-to-end API: sender, receiver, and the one-call link runners.
 
 :class:`InFrameSender` wires a video source and a data schedule into a
-playable display timeline; :class:`InFrameReceiver` wires the decoder and
-payload assembler for a camera; :func:`run_link` runs the whole loop --
+playable display timeline; :class:`InFrameReceiver` is the one receive
+path -- fault injection, per-capture render+observe, decide -- that link
+runs and broadcast fleets share; :func:`run_link` runs the whole loop --
 multiplex, display, capture, decode, score -- and returns Figure-7 style
 statistics.  :func:`run_transport_link` layers :mod:`repro.transport` on
 top: the payload travels as self-describing packets (plain sequential,
@@ -20,9 +21,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.camera.capture import CameraModel, CapturedFrame
+from repro.camera.capture import CameraModel, CapturedFrame, TimelineLike
 from repro.core.config import InFrameConfig
-from repro.core.decoder import DecodedDataFrame, InFrameDecoder
+from repro.core.decoder import BlockObservation, DecodedDataFrame, InFrameDecoder
 from repro.core.framing import (
     FramingPlan,
     PayloadAssembler,
@@ -37,14 +38,15 @@ from repro.display.scheduler import DisplayTimeline
 from repro.obs import RunTelemetry, Telemetry
 from repro.obs.live import live_collector
 from repro.obs.metrics import WORK
-from repro.obs.trace import span_totals
-from repro.runtime.link_exec import CaptureSource, execute_link_captures
+from repro.obs.trace import SpanTracer, span_totals
+from repro.runtime.link_exec import execute_link_captures
 from repro.runtime.profiler import RuntimeReport
 from repro.video.source import VideoSource
 
 if TYPE_CHECKING:  # imported lazily at run time to keep layering acyclic
     from repro.core.decoder import HealingReport
-    from repro.faults.plan import FaultPlan
+    from repro.faults.inject import FaultInjectedCamera
+    from repro.faults.plan import CompiledFaults, FaultPlan
     from repro.faults.report import DegradationReport, InjectionLog
 
 
@@ -111,7 +113,21 @@ class InFrameSender:
 
 
 class InFrameReceiver:
-    """Receiver: decodes captures and (optionally) reassembles payloads."""
+    """Receiver: the one receive path every simulated camera decodes through.
+
+    ``run_link`` (and so every transport round) and each receiver of a
+    broadcast fleet watch a capture window in three steps, each owned
+    here once:
+
+    1. :meth:`inject_faults` compiles a fault plan over the window and,
+       when it perturbs captures, swaps :attr:`source` for a
+       ``FaultInjectedCamera``;
+    2. :meth:`capture` renders and observes one capture under the
+       ``render``/``observe`` spans, on an RNG its caller supplies;
+    3. :meth:`decide` applies the stream faults and decides every data
+       frame under the ``decide`` span -- self-healing by default exactly
+       when a fault plan is present (:meth:`heals`).
+    """
 
     def __init__(
         self,
@@ -133,6 +149,91 @@ class InFrameReceiver:
             view=camera.view,
         )
         self.plan = plan
+        self.faults: CompiledFaults | None = None
+        self.source: CameraModel | FaultInjectedCamera = camera
+
+    @staticmethod
+    def heals(heal: bool | None, faulted: bool) -> bool:
+        """Whether to decode self-healing: *heal* if given, else exactly when *faulted*."""
+        return heal if heal is not None else faulted
+
+    def inject_faults(
+        self,
+        faults: FaultPlan | None,
+        n_captures: int,
+        duration_s: float,
+        origin_s: float = 0.0,
+    ) -> None:
+        """Compile *faults* over a window of *n_captures* captures.
+
+        *duration_s* is what the plan's ``at`` fractions span and
+        *origin_s* the display time of the first capture (see
+        :meth:`~repro.faults.FaultPlan.compile`).  ``None`` clears the plan.
+        """
+        self.faults, self.source = None, self.camera
+        if faults is None:
+            return
+        self.faults = faults.compile(
+            n_captures,
+            self.camera.fps,
+            duration_s=duration_s,
+            refresh_hz=self.config.refresh_hz,
+            origin_s=origin_s,
+        )
+        if self.faults.perturbs_captures:
+            from repro.faults.inject import FaultInjectedCamera
+
+            self.source = FaultInjectedCamera(self.camera, self.faults)
+
+    def capture(
+        self,
+        timeline: TimelineLike,
+        index: int,
+        rng: np.random.Generator,
+        tracer: SpanTracer,
+    ) -> tuple[CapturedFrame, BlockObservation]:
+        """Render capture *index* on *rng* and extract its noise observation."""
+        with tracer.span("render", capture=index):
+            frame = self.source.capture_frame(timeline, index, rng=rng)
+        with tracer.span("observe", capture=index):
+            observation = self.decoder.observe(frame)
+        return frame, observation
+
+    def decide(
+        self,
+        observations: list[BlockObservation],
+        tracer: SpanTracer,
+        heal: bool | None = None,
+        captures: list[CapturedFrame] | None = None,
+    ) -> tuple[
+        list[CapturedFrame] | None, list[DecodedDataFrame], DegradationReport | None
+    ]:
+        """Apply the plan's stream faults, then decide every data frame.
+
+        *captures* (index-aligned with *observations*) are faulted along
+        with them when given; a caller that keeps only observations
+        passes None and gets None back.  The degradation report is set
+        whenever a fault plan is present or healing is on.
+        """
+        injected: InjectionLog | None = None
+        if self.faults is not None:
+            from repro.faults.inject import apply_stream_faults
+
+            captures, observations, injected = apply_stream_faults(
+                self.faults, captures, observations
+            )
+        heal_on = self.heals(heal, self.faults is not None)
+        healing: HealingReport | None = None
+        with tracer.span("decide"):
+            if heal_on:
+                decoded, healing = self.decoder.decide_observations_healed(observations)
+            else:
+                decoded = self.decoder.decide_observations(observations)
+        if self.faults is None and not heal_on:
+            return captures, decoded, None
+        from repro.faults.report import DegradationReport as _DegradationReport
+
+        return captures, decoded, _DegradationReport(injected=injected, healing=healing)
 
     def decode(self, captures: list[CapturedFrame]) -> list[DecodedDataFrame]:
         """Decode captured frames into data-frame verdicts."""
@@ -212,7 +313,8 @@ def run_link(
         Whether to decode with the self-healing receiver
         (:meth:`~repro.core.decoder.InFrameDecoder.decide_observations_healed`).
         ``None`` (default) enables healing exactly when a fault plan is
-        given; pass False to measure the unhealed baseline under faults.
+        given (:meth:`InFrameReceiver.heals`); pass False to measure the
+        unhealed baseline under faults.
     collect_telemetry:
         Collect :mod:`repro.obs` metrics and spans for this run into
         ``LinkRun.telemetry``.  Work-scoped telemetry is bit-identical
@@ -235,19 +337,7 @@ def run_link(
     if n_camera_frames is None:
         n_camera_frames = max_frames
     n_camera_frames = min(n_camera_frames, max_frames)
-    compiled = None
-    if faults is not None:
-        compiled = faults.compile(
-            n_captures=n_camera_frames,
-            fps=camera.fps,
-            duration_s=video.duration_s,
-            refresh_hz=config.refresh_hz,
-        )
-    exec_camera: CaptureSource = camera
-    if compiled is not None and compiled.perturbs_captures:
-        from repro.faults.inject import FaultInjectedCamera
-
-        exec_camera = FaultInjectedCamera(camera, compiled)
+    receiver.inject_faults(faults, n_camera_frames, duration_s=video.duration_s)
     telemetry = Telemetry(track="main") if collect_telemetry else None
     live = live_collector()
     if telemetry is not None and live is not None:
@@ -255,33 +345,13 @@ def run_link(
         # snapshot cadence (read-only: the exact-merge contract holds).
         live.attach(telemetry.metrics, prefix="link.")
     execution = execute_link_captures(
-        timeline,
-        exec_camera,
-        receiver.decoder,
-        n_camera_frames,
-        seed,
-        workers=workers,
-        telemetry=telemetry,
+        timeline, receiver, n_camera_frames, seed, workers=workers, telemetry=telemetry
     )
-    captures = execution.captures
-    observations = execution.observations
-    injected: InjectionLog | None = None
-    if compiled is not None:
-        from repro.faults.inject import apply_stream_faults
-
-        captures, observations, injected = apply_stream_faults(
-            compiled, captures, observations
-        )
-    heal_on = heal if heal is not None else compiled is not None
-    healing: HealingReport | None = None
     tracer = execution.tracer
-    with tracer.span("decide"):
-        if heal_on:
-            decoded_all, healing = receiver.decoder.decide_observations_healed(
-                observations
-            )
-        else:
-            decoded_all = receiver.decoder.decide_observations(observations)
+    captures, decoded_all, degradation = receiver.decide(
+        execution.observations, tracer, heal=heal, captures=execution.captures
+    )
+    assert captures is not None
     # Score only fully covered data frames: drop warmup and the tail frame
     # whose cycle the capture window may have clipped.
     last_complete = int(
@@ -302,12 +372,12 @@ def run_link(
         from repro.core.decoder import record_decode_telemetry, record_healing_telemetry
 
         record_decode_telemetry(decoded_all, telemetry)
-        if healing is not None:
-            record_healing_telemetry(healing, telemetry)
-        if injected is not None:
+        if degradation is not None and degradation.healing is not None:
+            record_healing_telemetry(degradation.healing, telemetry)
+        if degradation is not None and degradation.injected is not None:
             from repro.faults.report import record_injection_telemetry
 
-            record_injection_telemetry(injected, telemetry)
+            record_injection_telemetry(degradation.injected, telemetry)
         run_telemetry = telemetry.finish(
             meta={
                 "run": "link",
@@ -330,11 +400,6 @@ def run_link(
         crashed_chunks=execution.crashed_chunks,
         serial_fallback=execution.serial_fallback,
     )
-    degradation: DegradationReport | None = None
-    if compiled is not None or heal_on:
-        from repro.faults.report import DegradationReport as _DegradationReport
-
-        degradation = _DegradationReport(injected=injected, healing=healing)
     return LinkRun(
         stats=stats,
         decoded=decoded,

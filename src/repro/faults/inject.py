@@ -3,17 +3,18 @@
 Injection happens at three points, matching where real systems fail:
 
 * :class:`FaultInjectedCamera` wraps the :class:`~repro.camera.capture.CameraModel`
-  used by the runtime workers.  Timing faults (clock drift, extra
+  a receiver renders its captures with.  Timing faults (clock drift, extra
   jitter, polarity slips) shift the *true* render time while the frame
   keeps its *nominal* timestamps -- the camera's clock lies, exactly the
   desynchronisation the self-healing decoder must detect.  Pixel faults
   (exposure/ambient steps, occlusion blackouts) land on the rendered
   frame before the decoder's observation is extracted.
-* :func:`apply_stream_faults` post-processes the ordered capture list in
-  the parent: dropped captures vanish, duplicated captures deliver the
-  previous frame's *pixels* under their own timestamps (a stale frame
-  buffer), and reordered captures swap content with a nearby capture --
-  all timestamp/content mismatches a naive decoder trusts blindly.
+* :func:`apply_stream_faults` post-processes the ordered capture stream
+  just before the receiver decides it: dropped captures vanish,
+  duplicated captures deliver the previous frame's *pixels* under their
+  own timestamps (a stale frame buffer), and reordered captures swap
+  content with a nearby capture -- all timestamp/content mismatches a
+  naive decoder trusts blindly.
 * :meth:`CompiledFaults.corrupt_packets` damages transport packets after
   the PHY decode (miscorrected RS codewords, torn buffers).
 
@@ -88,15 +89,16 @@ class FaultInjectedCamera:
 
 def apply_stream_faults(
     compiled: CompiledFaults,
-    captures: list[CapturedFrame],
+    captures: list[CapturedFrame] | None,
     observations: list[BlockObservation],
-) -> tuple[list[CapturedFrame], list[BlockObservation], InjectionLog]:
+) -> tuple[list[CapturedFrame] | None, list[BlockObservation], InjectionLog]:
     """Drop, duplicate and reorder the ordered capture stream.
 
-    *captures* and *observations* must be index-aligned (as produced by
-    :func:`repro.runtime.link_exec.execute_link_captures`).  Returns the
+    *observations* (and *captures*, when given) must be index-aligned,
+    as the receiver's per-capture step produces them.  Returns the
     faulted stream plus the :class:`InjectionLog` accounting every event
-    that actually landed inside the stream.
+    that actually landed inside the stream.  A receiver that keeps only
+    observations passes ``captures=None`` and gets None back in its place.
 
     Duplication and reordering move pixel *content* between captures
     while each capture keeps its own timestamps: the decoder's noise
@@ -104,10 +106,10 @@ def apply_stream_faults(
     the observation list stays consistent with what a receiver
     re-observing the faulted pixels would compute.
     """
-    n = len(captures)
-    if len(observations) != n:
+    n = len(observations)
+    if captures is not None and len(captures) != n:
         raise ValueError(
-            f"captures ({n}) and observations ({len(observations)}) misaligned"
+            f"captures ({len(captures)}) and observations ({n}) misaligned"
         )
     content = list(range(n))  # content[i] = which original capture's pixels land at i
 
@@ -123,36 +125,35 @@ def apply_stream_faults(
             content[i] = content[i - 1]
             duplicated += 1
 
-    out_captures: list[CapturedFrame] = []
-    out_observations: list[BlockObservation] = []
-    dropped = 0
-    for i in range(n):
-        if i < compiled.dropped.size and compiled.dropped[i]:
-            dropped += 1
-            continue
-        src = content[i]
-        if src == i:
-            out_captures.append(captures[i])
-            out_observations.append(observations[i])
-        else:
-            out_captures.append(replace(captures[i], pixels=captures[src].pixels))
-            out_observations.append(
-                replace(
-                    observations[i],
-                    noise_map=observations[src].noise_map,
-                    level=observations[src].level,
-                )
-            )
-    if not out_captures:
+    kept = [i for i in range(n) if not (i < compiled.dropped.size and compiled.dropped[i])]
+    if not kept:
         # The drop guard in FaultPlan.compile keeps one capture alive,
         # but swaps/duplicates cannot empty the stream either way.
         raise AssertionError("stream faults erased every capture")
+    out_observations = [
+        observations[i]
+        if content[i] == i
+        else replace(
+            observations[i],
+            noise_map=observations[content[i]].noise_map,
+            level=observations[content[i]].level,
+        )
+        for i in kept
+    ]
+    out_captures = None
+    if captures is not None:
+        out_captures = [
+            captures[i]
+            if content[i] == i
+            else replace(captures[i], pixels=captures[content[i]].pixels)
+            for i in kept
+        ]
 
     blackout = sum(
-        1 for c in out_captures if compiled.in_blackout(c.mid_exposure_s)
+        1 for o in out_observations if compiled.in_blackout(o.mid_exposure_s)
     )
     log = InjectionLog(
-        dropped_captures=dropped,
+        dropped_captures=n - len(kept),
         duplicated_captures=duplicated,
         reordered_captures=reordered,
         blackout_captures=blackout,

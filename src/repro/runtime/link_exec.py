@@ -1,13 +1,15 @@
 """The photon pipeline on the execution engine.
 
 One work item is a :class:`~repro.runtime.scheduler.WorkChunk` of camera
-frame indices.  A worker renders each capture from the display timeline
-(with the capture's own spawn-keyed RNG), extracts the decoder's noise
-observation, parks the pixels in a shared-memory slot, and sends back
-only slot handles, observations and stage spans.  The parent drains
-slots as chunks complete and reassembles the ordered capture/observation
-lists -- bit-identical to serial execution, because no randomness is
-shared across captures (see ``docs/runtime.md`` for the contract).
+frame indices.  A worker runs the receiver's per-capture step
+(:meth:`~repro.core.pipeline.InFrameReceiver.capture`: render the capture
+from the display timeline with its own spawn-keyed RNG, then extract the
+decoder's noise observation), parks the pixels in a shared-memory slot,
+and sends back only slot handles, observations and stage spans.  The
+parent drains slots as chunks complete and reassembles the ordered
+capture/observation lists -- bit-identical to serial execution, because
+no randomness is shared across captures (see ``docs/runtime.md`` for the
+contract).
 
 Chunks are contiguous so each worker's timeline cache stays warm: one
 capture integrates a handful of consecutive display frames, and
@@ -16,13 +18,12 @@ consecutive captures overlap only at chunk boundaries.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.camera.capture import CapturedFrame, TimelineLike
+from repro.camera.capture import CapturedFrame
 from repro.display.scheduler import DisplayTimeline
 from repro.obs import Telemetry
 from repro.obs.trace import EXEC, SpanTracer
@@ -31,29 +32,8 @@ from repro.runtime.scheduler import WorkChunk, plan_chunks
 from repro.runtime.shm import SharedFramePool, SlotRef, shared_memory_available
 
 if TYPE_CHECKING:  # imported lazily to keep repro.runtime free of repro.core
-    from repro.core.decoder import BlockObservation, InFrameDecoder
-
-
-class CaptureSource(Protocol):
-    """The camera-shaped surface the capture workers drive.
-
-    Satisfied by :class:`~repro.camera.capture.CameraModel` and by
-    wrappers that perturb it (``repro.faults.FaultInjectedCamera``); the
-    runtime layer only needs the sensor geometry and the render call.
-    """
-
-    @property
-    def height(self) -> int: ...
-
-    @property
-    def width(self) -> int: ...
-
-    def capture_frame(
-        self,
-        timeline: TimelineLike,
-        index: int,
-        rng: np.random.Generator | None = None,
-    ) -> CapturedFrame: ...
+    from repro.core.decoder import BlockObservation
+    from repro.core.pipeline import InFrameReceiver
 
 
 @dataclass(frozen=True)
@@ -61,8 +41,7 @@ class _LinkContext:
     """Everything a worker needs; inherited whole under a forked pool."""
 
     timeline: DisplayTimeline
-    camera: CaptureSource
-    decoder: InFrameDecoder
+    receiver: InFrameReceiver
     pool: SharedFramePool | None
     collect_telemetry: bool = True
 
@@ -120,19 +99,16 @@ def _capture_chunk(task: _ChunkTask, ctx: _LinkContext) -> _ChunkResult:
     # A deterministic track name from the chunk plan keeps (track,
     # span_id) unique after the parent merges all chunk exports.
     telemetry = Telemetry(track=f"chunk-{task.chunk.index:03d}")
-    span = telemetry.tracer.span
     records = []
     for position, index in enumerate(task.chunk.items):
-        rng = task.chunk.item_rng(index)
-        with span("render", capture=index):
-            capture = ctx.camera.capture_frame(ctx.timeline, index, rng=rng)
-        with span("observe", capture=index):
-            observation = ctx.decoder.observe(capture)
+        capture, observation = ctx.receiver.capture(
+            ctx.timeline, index, task.chunk.item_rng(index), telemetry.tracer
+        )
         if ctx.collect_telemetry:
             record_observation_telemetry(observation, telemetry)
         if task.slots is not None:
             # How many transfers run depends on the execution mode.
-            with span("transfer", EXEC, capture=index):
+            with telemetry.tracer.span("transfer", EXEC, capture=index):
                 slot = ctx.pool.write(task.slots[position], capture.pixels)
             pixels = None
         else:
@@ -152,16 +128,13 @@ def _capture_chunk(task: _ChunkTask, ctx: _LinkContext) -> _ChunkResult:
 
 def execute_link_captures(
     timeline: DisplayTimeline,
-    camera: CaptureSource,
-    decoder: InFrameDecoder,
+    receiver: InFrameReceiver,
     n_frames: int,
     seed: int,
     workers: int | None = None,
-    max_retries: int = 2,
-    start_index: int = 0,
     telemetry: Telemetry | None = None,
 ) -> LinkExecution:
-    """Run capture + observe for *n_frames* camera frames, possibly in parallel.
+    """Run *receiver*'s capture step for *n_frames* camera frames, possibly in parallel.
 
     ``workers in (None, 0, 1)`` executes in-process (no pool, no shared
     memory) but on the same per-capture RNG streams and the same code
@@ -178,29 +151,24 @@ def execute_link_captures(
     if telemetry is None:
         telemetry = Telemetry(track="main")
     serial = workers is None or int(workers) <= 1
-    engine = ExecutionEngine(workers=1 if serial else int(workers),
-                             max_retries=max_retries, telemetry=telemetry)
+    engine = ExecutionEngine(workers=1 if serial else int(workers), telemetry=telemetry)
     if serial or not engine.parallel:
-        chunks = plan_chunks(n_frames, n_chunks=1, seed=seed, start=start_index)
+        chunks = plan_chunks(n_frames, n_chunks=1, seed=seed)
     else:
         # Two chunks per worker: capture cost is homogeneous, so near-equal
         # chunks already balance load, and every extra chunk pays a cold
         # timeline cache (the LC-state warmup plus a few display-frame
         # renders) again.
-        chunks = plan_chunks(
-            n_frames, n_chunks=engine.workers * 2, seed=seed, start=start_index
-        )
+        chunks = plan_chunks(n_frames, n_chunks=engine.workers * 2, seed=seed)
     use_pool = engine.parallel and len(chunks) > 1 and shared_memory_available()
     pool = None
     if use_pool:
         slots_needed = engine.max_inflight * max(len(c) for c in chunks)
-        pool = SharedFramePool(
-            (camera.height, camera.width), np.float32, n_slots=slots_needed
-        )
+        shape = (receiver.camera.height, receiver.camera.width)
+        pool = SharedFramePool(shape, np.float32, n_slots=slots_needed)
     ctx = _LinkContext(
         timeline=timeline,
-        camera=camera,
-        decoder=decoder,
+        receiver=receiver,
         pool=pool,
         collect_telemetry=collect_telemetry,
     )
@@ -266,8 +234,3 @@ def execute_link_captures(
         crashed_chunks=tuple(engine.stats.crashed_items),
         serial_fallback=engine.stats.mode == "serial-fallback",
     )
-
-
-def wall_clock() -> float:
-    """The parent-side wall clock the reports are stamped with."""
-    return time.perf_counter()

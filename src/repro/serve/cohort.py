@@ -51,6 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.camera.capture import CameraModel
+from repro.core.pipeline import InFrameReceiver
 from repro.faults.plan import FaultPlan, FaultSpecError
 from repro.runtime.scheduler import spawn_rng
 
@@ -288,7 +289,6 @@ def compile_receivers(
                 if cohort.faults is not None
                 else None
             )
-            heal = cohort.heal if cohort.heal is not None else faults is not None
             specs.append(
                 ReceiverSpec(
                     receiver_id=receiver_id,
@@ -301,7 +301,7 @@ def compile_receivers(
                     fps=cohort.fps,
                     exposure_s=cohort.exposure_s,
                     faults=faults,
-                    heal=heal,
+                    heal=InFrameReceiver.heals(cohort.heal, faults is not None),
                 )
             )
             receiver_id += 1

@@ -10,6 +10,15 @@ cache hits.  Per receiver the worker still pays for what genuinely
 differs: the rolling-shutter blend at its own clock/exposure, sensor
 noise on its own RNG stream, decode, and the carousel collect.
 
+Each receiver decodes through the same
+:class:`~repro.core.pipeline.InFrameReceiver` as ``run_link``: it
+compiles the receiver's fault plan over its own watch window, renders
+and observes every capture under the same stage spans, applies stream
+faults and decides (self-healing by the same default).  Two things
+differ from the link path: a fleet receiver keeps only observations (no
+capture pixels outlive their observe), and it records no per-capture
+observation telemetry.
+
 Determinism contract
 --------------------
 Everything random is addressed, never shared: receiver parameters are
@@ -26,10 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.camera.capture import CameraModel, CapturedFrame
-from repro.core.decoder import BlockObservation, InFrameDecoder
+from repro.camera.capture import CameraModel
+from repro.core.pipeline import InFrameReceiver
 from repro.display.scheduler import MemoizedTimeline
-from repro.faults.inject import FaultInjectedCamera, apply_stream_faults
 from repro.obs import RunTelemetry, Telemetry
 from repro.obs.live import live_collector, record_live
 from repro.obs.metrics import EXEC
@@ -93,49 +101,22 @@ def _simulate_receiver(
             goodput_kbps=None,
         )
 
-    compiled = None
-    if spec.faults is not None:
-        compiled = spec.faults.compile(
-            n_captures,
-            camera.fps,
-            duration_s=n_captures / camera.fps,
-            refresh_hz=config.refresh_hz,
-            origin_s=spec.join_s,
-        )
-    source = (
-        FaultInjectedCamera(camera, compiled)
-        if compiled is not None and compiled.perturbs_captures
-        else camera
+    phy = InFrameReceiver(config, session.geometry, camera)
+    phy.inject_faults(
+        spec.faults, n_captures, duration_s=n_captures / camera.fps, origin_s=spec.join_s
     )
-    decoder = InFrameDecoder(
-        config,
-        session.geometry,
-        camera.height,
-        camera.width,
-        screen_rect=camera.screen_rect() if camera.screen_fill < 1.0 else None,
-    )
-    # The same stage spans as the link path (repro.runtime.link_exec).
-    span = telemetry.tracer.span
-    captures: list[CapturedFrame] = []
-    observations: list[BlockObservation] = []
+    # Only observations are kept.  Holding each capture until the next
+    # one is rendered lets the allocator reuse its pages: freeing it at
+    # once cost ~5x the page faults and ~10% more CPU on a serial
+    # 16-receiver fleet (2-vCPU Linux VM).
+    observations = []
     for i in range(n_captures):
         rng = spawn_rng(ctx.seed, _KEY_RECEIVER, spec.receiver_id, i)
-        with span("render", capture=i):
-            capture = source.capture_frame(ctx.timeline, i, rng=rng)
-        with span("observe", capture=i):
-            observations.append(decoder.observe(capture))
-        if compiled is not None and compiled.perturbs_stream:
-            captures.append(capture)
-    if compiled is not None and compiled.perturbs_stream:
-        _, observations, _ = apply_stream_faults(compiled, captures, observations)
-
-    resyncs = 0
-    with span("decide"):
-        if spec.heal:
-            decoded, healing = decoder.decide_observations_healed(observations)
-            resyncs = healing.n_resyncs
-        else:
-            decoded = decoder.decide_observations(observations)
+        capture, observation = phy.capture(ctx.timeline, i, rng, telemetry.tracer)
+        observations.append(observation)
+    _, decoded, degradation = phy.decide(observations, telemetry.tracer, heal=spec.heal)
+    healing = degradation.healing if degradation is not None else None
+    resyncs = healing.n_resyncs if healing is not None else 0
 
     # Collect the carousel incrementally: each decoded data frame merges
     # into its cycle slot, and a slot is delivered the moment it becomes

@@ -222,11 +222,6 @@ class BroadcastSession:
         return self.period_frames / self.config.refresh_hz
 
     @property
-    def render_cache_hits(self) -> int:
-        """Parent-side render-cache hits so far (workers report their own)."""
-        return 0 if self._memo is None else self._memo.hits
-
-    @property
     def render_cache_misses(self) -> int:
         """Fields actually rendered (the warm pass renders one cycle)."""
         return 0 if self._memo is None else self._memo.misses

@@ -136,6 +136,27 @@ class TestStreamInjection:
         assert log.dropped_captures > 0
         assert len(kept_c) == len(kept_o)
 
+    def test_observations_alone_fault_like_the_full_stream(
+        self, small_config, small_sender
+    ):
+        # A broadcast receiver keeps only observations; its faulted stream
+        # and log must match the link path's, which keeps captures too.
+        captures, observations = self._observed(small_config, small_sender)
+        plan = FaultPlan.parse(
+            "drop:p=0.3;dup:p=0.3;reorder:p=0.3;blackout:at=0.2,dur=0.1", seed=9
+        )
+        compiled = plan.compile(
+            n_captures=len(captures), fps=30.0, duration_s=0.4, refresh_hz=120.0
+        )
+        kept_c, kept_o, log = apply_stream_faults(compiled, captures, observations)
+        none_c, alone_o, alone_log = apply_stream_faults(compiled, None, observations)
+        assert none_c is None
+        assert alone_log == log
+        assert log.blackout_captures > 0
+        assert [o.capture_index for o in alone_o] == [o.capture_index for o in kept_o]
+        for a, b in zip(alone_o, kept_o):
+            assert np.array_equal(a.noise_map, b.noise_map) and a.level == b.level
+
     def test_duplicates_extend_stream(self, small_config, small_sender):
         captures, observations = self._observed(small_config, small_sender)
         plan = FaultPlan.parse("dup:p=0.5", seed=9)
