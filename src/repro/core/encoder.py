@@ -41,6 +41,10 @@ from repro.core.patterns import pattern_field
 from repro.core.smoothing import SmoothingWaveform
 from repro.display.gamma import GammaCurve
 
+#: One content frame's encode invariants: validated frame, headroom field
+#: and (adaptive amplitude only) per-pixel delta field.
+_Content = tuple[np.ndarray, np.ndarray, np.ndarray | None]
+
 
 class DataFrameEncoder:
     """Turns Block bit grids into per-pixel modulation fields.
@@ -71,7 +75,7 @@ class DataFrameEncoder:
         self.gamma_curve = gamma_curve if gamma_curve is not None else GammaCurve()
         self.pattern = pattern_field(config, geometry)
         self.waveform = SmoothingWaveform(config.tau, config.waveform)
-        self._texture_cache: tuple[int, np.ndarray] | None = None
+        self._content_cache: tuple[object, _Content] | None = None
 
     # ------------------------------------------------------------------
     # Static data frames (paper Fig. 4 uses these directly)
@@ -120,23 +124,17 @@ class DataFrameEncoder:
         headroom limit applied the clip never actually truncates, which is
         what keeps the pair exactly complementary.
         """
-        video = check_frame(video_frame, "video_frame")
-        if video.shape[:2] != (self.geometry.frame_height, self.geometry.frame_width):
-            raise ValueError(
-                f"video frame {video.shape} does not match geometry "
-                f"{(self.geometry.frame_height, self.geometry.frame_width)}"
-            )
+        _, headroom, delta_field = self._content(video_frame)
         if bits_next is None:
             bits_next = bits_now
         envelope = self.envelope_grid(bits_now, bits_next, step)
-        envelope_field = self.geometry.expand_block_grid(envelope)
-        if self.config.adaptive_amplitude:
-            delta_field = self.geometry.expand_block_grid(self._adaptive_delta(video))
-            amplitude = envelope_field * delta_field
-        else:
-            amplitude = envelope_field * np.float32(self.config.amplitude)
-        headroom = self._headroom(video)
-        return (np.minimum(amplitude, headroom) * self.pattern).astype(np.float32)
+        # Built in place on the freshly expanded envelope: one full-frame
+        # allocation per field.
+        field = self.geometry.expand_block_grid(envelope)
+        field *= delta_field if delta_field is not None else np.float32(self.config.amplitude)
+        np.minimum(field, headroom, out=field)
+        field *= self.pattern
+        return field
 
     def multiplexed_pair(
         self,
@@ -150,17 +148,23 @@ class DataFrameEncoder:
         With gamma compensation on, the pair is ``(V + c + M, V + c - M)``
         where ``c`` cancels the fused-luminance brightening.  RGB frames
         receive the same modulation on every channel (a gray chessboard),
-        which is how the paper's prototype treats colour content.
+        which is how the paper's prototype treats colour content.  Both
+        frames share one ``M`` (and one ``c``), computed once per pair.
         """
-        video = check_frame(video_frame, "video_frame")
-        modulation = self.modulation_field(video, bits_now, bits_next, step)
-        offset = modulation + self.compensation_field(video, modulation)
-        negative = -modulation + self.compensation_field(video, modulation)
+        video = self._content(video_frame)[0]
+        modulation = self.modulation_field(video_frame, bits_now, bits_next, step)
+        offset, negative = modulation, -modulation
+        if self.config.gamma_compensation:
+            correction = self.compensation_field(video, modulation)
+            offset = offset + correction
+            negative = negative + correction
         if video.ndim == 3:
             offset = offset[..., None]
             negative = negative[..., None]
-        plus = np.clip(video + offset, 0.0, 255.0).astype(np.float32)
-        minus = np.clip(video + negative, 0.0, 255.0).astype(np.float32)
+        plus = video + offset
+        minus = video + negative
+        np.clip(plus, 0.0, 255.0, out=plus)
+        np.clip(minus, 0.0, 255.0, out=minus)
         return plus, minus
 
     def compensation_field(
@@ -173,9 +177,9 @@ class DataFrameEncoder:
         term of the gamma expansion and is kept within the remaining
         pixel-value headroom.
         """
-        flat = video.mean(axis=2) if video.ndim == 3 else video
         if not self.config.gamma_compensation:
-            return np.zeros_like(flat)
+            return np.zeros(video.shape[:2], dtype=np.float32)
+        flat = video.mean(axis=2) if video.ndim == 3 else video
         slope = np.maximum(self.gamma_curve.local_slope(flat), 1e-6)
         curvature = self.gamma_curve.local_curvature(flat)
         correction = -(curvature * modulation**2) / (2.0 * slope)
@@ -191,9 +195,6 @@ class DataFrameEncoder:
 
     def _adaptive_delta(self, video: np.ndarray) -> np.ndarray:
         """Per-Block amplitude raised where content texture masks it."""
-        cached = self._texture_cache
-        if cached is not None and cached[0] == id(video):
-            return cached[1]
         rows, cols = self.geometry.data_area_slices()
         flat = video.mean(axis=2) if video.ndim == 3 else video
         area = flat[rows, cols]
@@ -209,12 +210,36 @@ class DataFrameEncoder:
             np.float32(self.config.amplitude) + block_texture.astype(np.float32),
             np.float32(cap),
         )
-        self._texture_cache = (id(video), delta)
         return delta
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _content(self, video_frame: np.ndarray) -> _Content:
+        """The validated frame, its headroom and its adaptive delta field.
+
+        These depend on the content frame alone, so they are computed once
+        per frame object and reused by every pair that frame carries.  The
+        cache holds a reference to the last frame it saw: an identity match
+        is never a recycled ``id()``.  Frames are read-only once encoded,
+        as every video source serves them.
+        """
+        cached = self._content_cache
+        if cached is not None and cached[0] is video_frame:
+            return cached[1]
+        video = check_frame(video_frame, "video_frame")
+        if video.shape[:2] != (self.geometry.frame_height, self.geometry.frame_width):
+            raise ValueError(
+                f"video frame {video.shape} does not match geometry "
+                f"{(self.geometry.frame_height, self.geometry.frame_width)}"
+            )
+        delta_field = None
+        if self.config.adaptive_amplitude:
+            delta_field = self.geometry.expand_block_grid(self._adaptive_delta(video))
+        content = (video, self._headroom(video), delta_field)
+        self._content_cache = (video_frame, content)
+        return content
+
     def _headroom(self, video: np.ndarray) -> np.ndarray:
         """Largest symmetric amplitude each pixel (or Block) can carry.
 

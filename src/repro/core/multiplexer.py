@@ -7,6 +7,12 @@ smoothed, clip-aware chessboard modulation.  Even displayed frames carry
 ``+``, odd carry ``-``, so every consecutive (even, odd) pair is exactly
 complementary and fuses to ``V_i`` for the viewer.
 
+The pair is the unit of encoding: display frames ``2k`` and ``2k + 1``
+come from one :meth:`~repro.core.encoder.DataFrameEncoder.multiplexed_pair`
+call, so ``M`` is built once per pair.  With an odd duplication factor
+(e.g. 90 Hz over 30 FPS) a pair can straddle two content frames; each
+half is then encoded over its own ``V`` and the two never share ``M``.
+
 :class:`MultiplexedStream` implements the display scheduler's
 :class:`~repro.display.scheduler.FrameSource` protocol lazily -- frames
 are rendered on demand, so multi-second streams cost no memory.
@@ -78,6 +84,11 @@ class MultiplexedStream:
             )
         self._n_frames = int(n_display_frames)
         self._bits_cache: dict[int, np.ndarray] = {}
+        # The last content frame fetched (the encoder caches its invariants
+        # by reference) and the last pair rendered, keyed by
+        # (content frame index, pair index).
+        self._content: tuple[int, np.ndarray] | None = None
+        self._pair: tuple[tuple[int, int], tuple[np.ndarray, np.ndarray]] | None = None
 
     # ------------------------------------------------------------------
     # FrameSource protocol
@@ -88,19 +99,28 @@ class MultiplexedStream:
         return self._n_frames
 
     def frame(self, index: int) -> np.ndarray:
-        """Render displayed frame *index* (pixel values, float32)."""
+        """Render displayed frame *index* (pixel values, float32).
+
+        Even frames are the ``V + M`` half of their pair, odd frames the
+        ``V - M`` half.  The returned array is shared with the pair cache;
+        treat it as read-only.
+        """
         if not (0 <= index < self._n_frames):
             raise IndexError(f"frame index {index} outside [0, {self._n_frames})")
-        video_frame = self.video.frame(index // self.config.frame_duplication)
-        data_index, step = divmod(index, self.config.tau)
-        bits_now = self._bits(data_index)
-        bits_next = self._bits(data_index + 1)
-        modulation = self.encoder.modulation_field(video_frame, bits_now, bits_next, step)
-        sign = np.float32(1.0 if index % 2 == 0 else -1.0)
-        offset = sign * modulation + self.encoder.compensation_field(video_frame, modulation)
-        if video_frame.ndim == 3:
-            offset = offset[..., None]
-        return np.clip(video_frame + offset, 0.0, 255.0).astype(np.float32)
+        content_index = index // self.config.frame_duplication
+        key = (content_index, index // 2)
+        if self._pair is None or self._pair[0] != key:
+            # tau is even and the envelope advances per pair, so both halves
+            # share the data frame and the envelope of the pair's + frame.
+            data_index, step = divmod(index - index % 2, self.config.tau)
+            pair = self.encoder.multiplexed_pair(
+                self._video_frame(content_index),
+                self._bits(data_index),
+                self._bits(data_index + 1),
+                step,
+            )
+            self._pair = (key, pair)
+        return self._pair[1][index % 2]
 
     # ------------------------------------------------------------------
     # Introspection used by experiments and tests
@@ -113,6 +133,11 @@ class MultiplexedStream:
     def ground_truth(self, data_index: int) -> np.ndarray:
         """The Block grid actually transmitted for data frame *data_index*."""
         return self._bits(data_index).copy()
+
+    def _video_frame(self, content_index: int) -> np.ndarray:
+        if self._content is None or self._content[0] != content_index:
+            self._content = (content_index, self.video.frame(content_index))
+        return self._content[1]
 
     def _bits(self, data_index: int) -> np.ndarray:
         cached = self._bits_cache.get(data_index)

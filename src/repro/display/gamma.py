@@ -52,7 +52,7 @@ class GammaCurve:
         values = np.clip(np.asarray(pixel_values, dtype=np.float32), 0.0, 255.0)
         normalized = values / np.float32(255.0)
         span = self.peak_luminance - self.black_level
-        return (self.black_level + span * normalized**self.gamma).astype(np.float32)
+        return (self.black_level + span * normalized**self.gamma).astype(np.float32, copy=False)
 
     def to_pixel(self, luminance: np.ndarray | float) -> np.ndarray:
         """Map luminance in cd/m^2 back to pixel values in [0, 255]."""

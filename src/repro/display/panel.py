@@ -90,9 +90,9 @@ class DisplayPanel:
             weights = np.array([0.2126, 0.7152, 0.0722], dtype=np.float32)
             channels = self.gamma_curve.to_luminance(frame)
             lum = (channels * weights).sum(axis=2)
-            return (lum * np.float32(self.brightness)).astype(np.float32)
+            return (lum * np.float32(self.brightness)).astype(np.float32, copy=False)
         return (self.gamma_curve.to_luminance(frame) * np.float32(self.brightness)).astype(
-            np.float32
+            np.float32, copy=False
         )
 
     def scaled(self, scale: float) -> "DisplayPanel":

@@ -125,10 +125,10 @@ class DisplayTimeline:
             liquid-crystal recursion stays exact).
         """
         index = self.frame_index_at(t)
-        target = self._frame_luminance(index)
         if self.panel.response_time_s <= 0.0:
-            return self._crop(target, rect)
-        previous_state = self._state_before(index)
+            return self._crop(self._frame_luminance(index), rect)
+        previous_state = self._state_before(index)  # pulls frames in order
+        target = self._frame_luminance(index)
         elapsed = max(t - self.latch_time(index), 0.0)
         decay = np.float32(np.exp(-elapsed / self.panel.response_time_s))
         field = target + (previous_state - target) * decay
@@ -160,17 +160,22 @@ class DisplayTimeline:
             seg_len = seg_end - seg_start
             if seg_len <= 0:
                 continue
+            # Advance the LC state before fetching this frame's target, so
+            # the source is pulled in display order (the multiplexer renders
+            # whole complementary pairs and keeps only the latest).
+            previous_state = (
+                self._crop(self._state_before(index), rect) if tau > 0.0 else None
+            )
             target = self._crop(self._frame_luminance(index), rect)
             piece = target * np.float32(seg_len)
-            if tau > 0.0:
-                previous_state = self._crop(self._state_before(index), rect)
+            if previous_state is not None:
                 a = max(seg_start - self.latch_time(index), 0.0)
                 b = max(seg_end - self.latch_time(index), 0.0)
                 weight = np.float32(tau * (np.exp(-a / tau) - np.exp(-b / tau)))
                 piece = piece + (previous_state - target) * weight
             total = piece if total is None else total + piece
         assert total is not None  # guaranteed: t1 > t0 yields >= 1 segment
-        return (total / np.float32(t1 - t0)).astype(np.float32)
+        return (total / np.float32(t1 - t0)).astype(np.float32, copy=False)
 
     def frame_average_luminance(self, index: int) -> np.ndarray:
         """Mean luminance field over the full refresh interval of frame *index*.

@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.experiments import ExperimentScale
 from repro.core.config import InFrameConfig
 from repro.core.encoder import DataFrameEncoder
 from repro.core.framing import PseudoRandomSchedule, ZeroSchedule
 from repro.core.geometry import FrameGeometry
 from repro.core.multiplexer import MultiplexedStream
-from repro.video.synthetic import gradient_video, pure_color_video
+from repro.core.pipeline import run_link
+from repro.video.source import ArrayVideoSource
+from repro.video.synthetic import gradient_video, pure_color_video, sunrise_video
 
 
 @pytest.fixture
@@ -97,6 +100,31 @@ class TestModulationField:
                 if modulated.size:
                     assert np.allclose(modulated, modulated.flat[0], atol=1e-5)
 
+    def test_adaptive_delta_follows_each_frame_of_a_view_source(self, monkeypatch):
+        # ArrayVideoSource serves a fresh view per call.  A cache keyed on
+        # id() let a later frame whose view recycled that id inherit the
+        # previous frame's per-Block delta.
+        calls = []
+        modulation_field = DataFrameEncoder.modulation_field
+
+        def recording_modulation_field(self, video_frame, *args):
+            field = modulation_field(self, video_frame, *args)
+            calls.append((np.array(video_frame), args, field))
+            return field
+
+        monkeypatch.setattr(DataFrameEncoder, "modulation_field", recording_modulation_field)
+        scale = ExperimentScale.quick()
+        config = scale.config(amplitude=20.0, tau=12, adaptive_amplitude=True)
+        clip = scale.video("video")
+        source = ArrayVideoSource(np.stack(clip.frames()), fps=clip.fps)
+        run_link(config, source, camera=scale.camera(), seed=1)
+        monkeypatch.undo()
+        geometry = FrameGeometry(config, source.height, source.width)
+        assert len({video.tobytes() for video, _, _ in calls}) > 1
+        for video, args, field in calls:
+            fresh = DataFrameEncoder(config, geometry)
+            assert np.array_equal(field, fresh.modulation_field(video, *args))
+
     def test_envelope_steady_bits_constant_through_transition(self, encoder, small_config):
         bits = _bits(small_config, seed=1)
         env_early = encoder.envelope_grid(bits, bits, step=0)
@@ -171,6 +199,48 @@ class TestMultiplexedStream:
         stream = MultiplexedStream(small_config, small_video, BadSchedule())
         with pytest.raises(ValueError):
             stream.frame(0)
+
+    def test_one_modulation_field_per_pair_in_a_serial_link(self, monkeypatch):
+        encodes = []
+        requested = set()
+        modulation_field = DataFrameEncoder.modulation_field
+        frame = MultiplexedStream.frame
+
+        def counting_modulation_field(self, *args, **kwargs):
+            encodes.append(1)
+            return modulation_field(self, *args, **kwargs)
+
+        def recording_frame(self, index):
+            requested.add(index)
+            return frame(self, index)
+
+        monkeypatch.setattr(DataFrameEncoder, "modulation_field", counting_modulation_field)
+        monkeypatch.setattr(MultiplexedStream, "frame", recording_frame)
+        scale = ExperimentScale.quick()
+        config = scale.config(amplitude=20.0, tau=12)
+        run_link(config, scale.video("gray"), camera=scale.camera(), seed=1)
+        duplication = config.frame_duplication
+        pairs = {(index // duplication, index // 2) for index in requested}
+        assert len(requested) == 2 * len(pairs)
+        assert len(encodes) == len(pairs)
+
+    @pytest.mark.parametrize("refresh_hz", [120.0, 90.0])
+    def test_out_of_order_frames_match_in_order(self, small_config, refresh_hz):
+        # 90 Hz over 30 FPS duplicates each content frame three times, so
+        # every other pair straddles two content frames.
+        config = small_config.with_updates(refresh_hz=refresh_hz)
+        video = sunrise_video(80, 112, n_frames=6)
+
+        def stream():
+            return MultiplexedStream(config, video, PseudoRandomSchedule(config))
+
+        in_order = stream()
+        expected = [in_order.frame(i).copy() for i in range(in_order.n_frames)]
+        pairs = np.random.default_rng(3).permutation(in_order.n_frames // 2)
+        shuffled = stream()
+        for pair in pairs:
+            for index in (2 * pair + 1, 2 * pair):  # the minus half first
+                assert np.array_equal(shuffled.frame(index), expected[index]), index
 
     def test_n_data_frames(self, small_config, small_video):
         stream = MultiplexedStream(small_config, small_video, ZeroSchedule(small_config))
